@@ -13,8 +13,9 @@ JSONL-over-TCP, through three tiers:
    under admission control (bounded queue, per-tenant token buckets,
    sat-call budget clamps).
 
-Responses are byte-identical to the batch CLI's (modulo the volatile
-keys), so a client can move between the two freely.
+Responses come from the batch CLI's own response builder
+(:mod:`repro.service.pipeline`) and are byte-identical to its (modulo
+the volatile keys), so a client can move between the two freely.
 
 Modules: :mod:`~repro.serve.daemon` (the tiered core),
 :mod:`~repro.serve.http` (wire front ends + CLI),

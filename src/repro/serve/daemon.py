@@ -33,9 +33,10 @@ hashing, then served through the cheapest possible tier:
    ``overloaded`` error), and per-tenant token-bucket rate limits plus
    sat-call budget clamps (:mod:`repro.serve.admission`).
 
-Responses are shaped exactly like ``python -m repro batch`` responses
-plus one extra ``"tier"`` key (which is in
-:data:`~repro.service.batch.VOLATILE_RESPONSE_KEYS`), so a daemon
+Requests are admitted and responses shaped by
+:mod:`repro.service.pipeline`, the module the batch CLI uses too; the
+daemon adds one ``"tier"`` key (which is in
+:data:`~repro.service.pipeline.VOLATILE_RESPONSE_KEYS`), so a daemon
 answer is byte-identical to the batch CLI's answer for the same
 request once volatile fields are stripped -- the serve bench asserts
 this.
@@ -57,33 +58,23 @@ from typing import Mapping, Optional
 
 from repro.core import stats
 from repro.core.result import SymbolicSum
-from repro.presburger.parser import ParseError
-from repro.qpoly.parse import PolynomialParseError
 from repro.serve.admission import TenantTable
 from repro.serve.metrics import ServeMetrics
-from repro.service.batch import response_core
 from repro.service.diskcache import DiskCache
 from repro.service.executor import (
-    BAD_REQUEST,
     ENGINE_ERROR,
-    PARSE_ERROR,
     JobError,
     _evaluate_points,
     execute_request,
     run_jobs,
 )
-from repro.service.request import JobRequest, RequestError
+from repro.service.pipeline import admit, error_response, respond
+from repro.service.request import JobRequest
 
 #: Admission-control failure kinds (429-style; join the executor's
 #: taxonomy on the wire).
 OVERLOADED = "overloaded"
 RATE_LIMITED = "rate_limited"
-
-#: A request whose canonical content hash falls outside this daemon's
-#: owned hash-prefix slice (sharded serving; HTTP maps it to 421).
-#: Clients should talk to the shard router, which can never misroute
-#: because it derives ownership from the same canonical hash.
-MISROUTED = "misrouted"
 
 #: Cap on the in-daemon formula-hash -> symbolic-answer artifact map.
 ARTIFACT_CAP = 1024
@@ -126,9 +117,6 @@ class ServeConfig:
         "cache_path",
         "cache_limit",
         "drain_timeout",
-        "shard_index",
-        "shard_count",
-        "shard_bits",
     )
 
     def __init__(
@@ -146,24 +134,11 @@ class ServeConfig:
         cache_path: Optional[str] = ".repro-cache.sqlite",
         cache_limit: int = 100000,
         drain_timeout: float = 30.0,
-        shard_index: Optional[int] = None,
-        shard_count: Optional[int] = None,
-        shard_bits: Optional[int] = None,
     ):
         if workers < 1:
             raise ValueError("workers must be >= 1")
         if queue_limit < 1:
             raise ValueError("queue_limit must be >= 1")
-        if shard_index is not None:
-            if shard_count is None or shard_count < 1:
-                raise ValueError(
-                    "shard_index needs a shard_count >= 1"
-                )
-            if not 0 <= shard_index < shard_count:
-                raise ValueError(
-                    "shard_index %d out of range for %d shards"
-                    % (shard_index, shard_count)
-                )
         self.host = host
         self.http_port = http_port
         self.jsonl_port = jsonl_port
@@ -177,9 +152,6 @@ class ServeConfig:
         self.cache_path = cache_path
         self.cache_limit = cache_limit
         self.drain_timeout = drain_timeout
-        self.shard_index = shard_index
-        self.shard_count = shard_count
-        self.shard_bits = shard_bits
 
     @classmethod
     def from_env(cls, **overrides) -> "ServeConfig":
@@ -192,32 +164,10 @@ class ServeConfig:
             "default_timeout": _env_float("REPRO_SERVE_TIMEOUT"),
             "default_budget": _env_int("REPRO_SERVE_BUDGET"),
             "drain_timeout": _env_float("REPRO_SERVE_DRAIN"),
-            # The shard supervisor sets these in worker environments;
-            # REPRO_SHARD_INDEX is the opt-in (REPRO_SHARD_N alone --
-            # say, in a shell that also launches the router -- must not
-            # give a standalone daemon a partial keyspace).
-            "shard_index": _env_int("REPRO_SHARD_INDEX"),
-            "shard_count": _env_int("REPRO_SHARD_N"),
-            "shard_bits": _env_int("REPRO_SHARD_BITS"),
         }
         values = {k: v for k, v in values.items() if v is not None}
-        if "shard_index" not in values:
-            values.pop("shard_count", None)
-            values.pop("shard_bits", None)
         values.update(overrides)
         return cls(**values)
-
-    def shard_slice(self):
-        """The owned keyspace slice, or None for a whole-keyspace daemon."""
-        if self.shard_index is None:
-            return None
-        from repro.shard.config import DEFAULT_PREFIX_BITS, ShardSlice
-
-        return ShardSlice(
-            self.shard_bits or DEFAULT_PREFIX_BITS,
-            self.shard_count,
-            self.shard_index,
-        )
 
 
 class _InFlight:
@@ -246,17 +196,12 @@ class CountingDaemon:
             burst=self.config.burst,
             budget_ceiling=self.config.tenant_budget,
         )
-        self._slice = self.config.shard_slice()
         self._owns_cache = cache is None and self.config.cache_path is not None
         if cache is not None:
             self.cache: Optional[DiskCache] = cache
         elif self.config.cache_path is not None:
-            # Under shard ownership the store refuses foreign writes
-            # too (defense in depth behind the handle() refusal).
             self.cache = DiskCache(
-                self.config.cache_path,
-                max_entries=self.config.cache_limit,
-                owns=self._slice.owns if self._slice is not None else None,
+                self.config.cache_path, max_entries=self.config.cache_limit
             )
         else:
             self.cache = None
@@ -331,58 +276,16 @@ class CountingDaemon:
         t0 = time.monotonic()
         m = self.metrics
         m.bump("requests")
-        if not isinstance(obj, Mapping):
-            m.bump("front_errors")
-            return self._error_response(
-                None, BAD_REQUEST, "request must be a JSON object", t0, "front"
-            )
-        rid = obj.get("id")
-        if self._draining:
+        if self._draining and isinstance(obj, Mapping):
             m.bump("shed")
-            return self._error_response(
-                rid, OVERLOADED, "daemon is draining", t0, "shed"
+            return self._refuse(
+                obj.get("id"), OVERLOADED, "daemon is draining", t0
             )
         try:
-            req = JobRequest.from_json(obj)
-        except RequestError as exc:
+            req, key = admit(obj)
+        except JobError as exc:
             m.bump("front_errors")
-            return self._error_response(rid, BAD_REQUEST, str(exc), t0, "front")
-        try:
-            key = req.content_hash()
-        except (ParseError, PolynomialParseError) as exc:
-            m.bump("front_errors")
-            return self._error_response(
-                req.id, PARSE_ERROR, str(exc), t0, "front"
-            )
-        except Exception as exc:
-            m.bump("front_errors")
-            return self._error_response(
-                req.id,
-                BAD_REQUEST,
-                "%s: %s" % (type(exc).__name__, exc),
-                t0,
-                "front",
-            )
-
-        if self._slice is not None and not self._slice.owns(key):
-            # A shard answers only its own keyspace slice.  Serving a
-            # foreign hash would compute and cache an answer another
-            # shard owns, silently splitting the authoritative store.
-            m.bump("misrouted")
-            return self._error_response(
-                req.id,
-                MISROUTED,
-                "content hash %s... belongs to shard %d of %d"
-                " (this is shard %d); route via the shard router"
-                % (
-                    key[:12],
-                    self._slice.owner(key),
-                    self._slice.count,
-                    self._slice.index,
-                ),
-                t0,
-                "front",
-            )
+            return self._reply(error_response(exc.id, exc), t0, "front")
 
         loop = asyncio.get_event_loop()
 
@@ -391,9 +294,7 @@ class CountingDaemon:
             payload = await loop.run_in_executor(self._io, self.cache.get, key)
             if payload is not None and "result" in payload:
                 m.bump("warm_hits")
-                return self._ok_response(
-                    req.id, payload, t0, "warm", cached=True
-                )
+                return self._answer(req, payload, t0, cached=True)
         if req.kind == "evaluate":
             response = await self._from_artifact(req, key, t0)
             if response is not None:
@@ -409,27 +310,25 @@ class CountingDaemon:
             entry.waiters += 1
             m.bump("coalesced")
             outcome = await self._await_shared(entry)
-            return self._outcome_response(req.id, outcome, t0, "coalesced")
+            return self._settled(req, outcome, t0, "coalesced")
 
         # Tier 3: cold dispatch, admission-controlled.
         if len(self._inflight) >= self.config.queue_limit:
             m.bump("shed")
-            return self._error_response(
+            return self._refuse(
                 req.id,
                 OVERLOADED,
                 "cold queue full (%d computations in flight)"
                 % len(self._inflight),
                 t0,
-                "shed",
             )
         if not self.tenants.admit(tenant):
             m.bump("rate_limited")
-            return self._error_response(
+            return self._refuse(
                 req.id,
                 RATE_LIMITED,
                 "tenant %r is over its cold-dispatch rate" % tenant,
                 t0,
-                "shed",
             )
         budget = self.tenants.clamp_budget(
             req.budget, self.config.default_budget
@@ -437,7 +336,7 @@ class CountingDaemon:
         entry = _InFlight(loop.create_task(self._compute(key, req, budget)))
         self._inflight[key] = entry
         outcome = await self._await_shared(entry)
-        return self._outcome_response(req.id, outcome, t0, "cold")
+        return self._settled(req, outcome, t0, "cold")
 
     async def _await_shared(self, entry: _InFlight) -> dict:
         """Wait on a shared computation without being able to kill it.
@@ -581,7 +480,7 @@ class CountingDaemon:
             except (sqlite3.Error, OSError):
                 pass
         self.metrics.bump("artifact_hits")
-        return self._ok_response(req.id, payload, t0, "warm", cached=False)
+        return self._answer(req, payload, t0)
 
     # -- the resident-automaton fast path ----------------------------------
 
@@ -625,68 +524,40 @@ class CountingDaemon:
             except (sqlite3.Error, OSError):
                 pass
         self.metrics.bump("automaton_hits")
-        return self._ok_response(req.id, payload, t0, "warm", cached=False)
+        return self._answer(req, payload, t0)
 
-    # -- response shaping (mirrors repro.service.batch) -------------------
+    # -- responses (shaped by repro.service.pipeline) ---------------------
 
-    def _observe(self, tier: str, t0: float) -> None:
+    def _reply(self, response: dict, t0: float, tier: str) -> dict:
+        response["tier"] = tier
         if tier in self.metrics.tiers:
             self.metrics.observe(tier, (time.monotonic() - t0) * 1000.0)
-
-    def _ok_response(
-        self,
-        rid,
-        payload: dict,
-        t0: float,
-        tier: str,
-        cached: bool,
-        attempts: int = 0,
-    ) -> dict:
-        response = {"id": rid, "ok": True}
-        response.update(response_core(payload))
-        response["cached"] = cached
-        response["wall_ms"] = round((time.monotonic() - t0) * 1000.0, 3)
-        response["attempts"] = attempts
-        response["tier"] = tier
-        self._observe(tier, t0)
         return response
 
-    def _outcome_response(
-        self, rid, outcome: dict, t0: float, tier: str
+    def _answer(
+        self, req: JobRequest, payload: dict, t0: float, cached: bool = False
     ) -> dict:
-        response = {"id": rid, "ok": outcome["ok"]}
-        if outcome["ok"]:
-            response.update(response_core(outcome["payload"]))
-        else:
-            response["error"] = outcome["error"]
+        """A warm-tier answer: no job ran, so ``attempts`` is 0."""
+        wall_ms = round((time.monotonic() - t0) * 1000.0, 3)
+        outcome = {"ok": True, "payload": payload, "wall_ms": wall_ms}
+        return self._reply(respond(req.id, outcome, req, cached), t0, "warm")
+
+    def _settled(
+        self, req: JobRequest, outcome: dict, t0: float, tier: str
+    ) -> dict:
+        if not outcome["ok"]:
             self.metrics.bump("job_errors")
-        response["cached"] = False
-        response["wall_ms"] = outcome["wall_ms"]
-        response["attempts"] = outcome["attempts"]
-        response["tier"] = tier
-        self._observe(tier, t0)
-        return response
+        return self._reply(respond(req.id, outcome, req), t0, tier)
 
-    def _error_response(
-        self, rid, kind: str, message: str, t0: float, tier: str
-    ) -> dict:
-        self._observe(tier, t0)
-        return {
-            "id": rid,
-            "ok": False,
-            "error": {"kind": kind, "message": message},
-            "cached": False,
-            "wall_ms": 0.0,
-            "attempts": 0,
-            "tier": tier,
-        }
+    def _refuse(self, rid, kind: str, message: str, t0: float) -> dict:
+        response = error_response(rid, JobError(kind, message))
+        return self._reply(response, t0, "shed")
 
 
 __all__ = [
     "ARTIFACT_CAP",
     "AUTOMATON_KINDS",
     "CountingDaemon",
-    "MISROUTED",
     "OVERLOADED",
     "RATE_LIMITED",
     "ServeConfig",

@@ -230,8 +230,6 @@ async def _drive(submit, requests, clients, keep_responses=False):
                 "tier": response.get("tier", "remote"),
                 "ms": ms,
             }
-            if "shard" in response:
-                record["shard"] = response["shard"]
             if keep_responses:
                 record["response"] = response
             records.append(record)
@@ -249,17 +247,15 @@ def _percentile(sorted_ms: List[float], q: float) -> float:
     return round(sorted_ms[index], 3)
 
 
-def fleet_summary(requests: Sequence[dict], records) -> dict:
-    """Fleet-dedup accounting: did any content hash cold-compute twice?
+def dedup_summary(requests: Sequence[dict], records) -> dict:
+    """Coalescing accounting: did any content hash cold-compute twice?
 
     Request ids are unique per pass (``build_requests`` stamps
     ``base#k``), so mapping id -> canonical content hash lets the
-    summary count cold-tier responses per *hash*.  Against a shard
-    router, a hash going cold on more than one shard -- or twice
-    anywhere -- means fleet-wide coalescing failed;
+    summary count cold-tier responses per *hash*.  A hash answered cold
+    twice means the daemon's coalescing failed;
     ``duplicate_computations`` must be 0 and ``--assert-no-duplicates``
-    turns that into an exit code.  Per-shard response counts and
-    latency quantiles ride along when responses carry a ``shard`` key.
+    turns that into an exit code.
     """
     from repro.service.request import JobRequest
 
@@ -277,29 +273,12 @@ def fleet_summary(requests: Sequence[dict], records) -> dict:
         if r["tier"] == "cold" and r["id"] in hash_of
     ]
     distinct_cold = set(cold_hashes)
-    per_shard = {}
-    for record in records:
-        shard = record.get("shard")
-        if shard is None:
-            continue
-        per_shard.setdefault(str(shard), []).append(record["ms"])
-    shards = {}
-    for shard, samples in sorted(per_shard.items()):
-        samples.sort()
-        shards[shard] = {
-            "count": len(samples),
-            "p50_ms": _percentile(samples, 0.50),
-            "p99_ms": _percentile(samples, 0.99),
-        }
-    summary = {
+    return {
         "unique_hashes": len(set(hash_of.values())),
         "cold_responses": len(cold_hashes),
         "distinct_cold_hashes": len(distinct_cold),
         "duplicate_computations": len(cold_hashes) - len(distinct_cold),
     }
-    if shards:
-        summary["per_shard"] = shards
-    return summary
 
 
 def summarize(
@@ -337,7 +316,7 @@ def summarize(
     if serve_snapshot is not None:
         summary["serve"] = serve_snapshot
     if requests is not None:
-        summary["fleet"] = fleet_summary(requests, records)
+        summary["dedup"] = dedup_summary(requests, records)
     return summary
 
 
@@ -490,7 +469,7 @@ def loadgen_main(args) -> int:
             fh.write(text + "\n")
     if getattr(args, "assert_no_duplicates", False):
         duplicates = sum(
-            summary.get("fleet", {}).get("duplicate_computations", 0)
+            summary.get("dedup", {}).get("duplicate_computations", 0)
             for summary in summaries
         )
         if duplicates:
@@ -509,7 +488,7 @@ __all__ = [
     "alpha_variant",
     "base_requests",
     "build_requests",
-    "fleet_summary",
+    "dedup_summary",
     "loadgen_main",
     "requests_from_corpus_dir",
     "run_http",

@@ -58,129 +58,7 @@ COUNTER_NAMES = (
     "front_errors",  # bad request / parse failures before any tier
     "job_errors",  # cold jobs that settled with a structured error
     "cancelled_waiters",  # client tasks cancelled while awaiting a job
-    "misrouted",  # refused: content hash outside this shard's slice
 )
-
-
-def _quantile_from_buckets(
-    counts, count: int, max_ms: float, q: float
-) -> float:
-    """Quantile read off fixed bucket counts (shared by live histograms
-    and merged snapshots, so a merged quantile is *defined* to equal the
-    quantile of one histogram that observed the union stream)."""
-    if count == 0:
-        return 0.0
-    rank = q * count
-    seen = 0
-    for i, n in enumerate(counts):
-        seen += n
-        if seen >= rank:
-            if i == len(BUCKET_BOUNDS_MS):
-                return round(max_ms, 3)
-            return BUCKET_BOUNDS_MS[i]
-    return round(max_ms, 3)  # pragma: no cover - defensive
-
-
-def merge_latency_snapshots(snapshots) -> Dict[str, float]:
-    """Merge histogram snapshots from several daemons into one.
-
-    The merge is **associative and commutative**: it sums the raw
-    bucket counts (plus count/total, max of max, min of min) and
-    re-derives the quantiles from the merged buckets with the same
-    rule a live histogram uses.  Merging per-shard snapshots therefore
-    yields exactly the snapshot a single daemon would have produced
-    for the union of the observation streams -- the property the
-    router's aggregated ``/stats`` relies on, pinned by
-    ``tests/test_serve_metrics.py``.
-
-    Snapshots predating the ``buckets`` field merge degenerately (their
-    observations land in the open last bucket) rather than failing.
-    """
-    counts = [0] * (len(BUCKET_BOUNDS_MS) + 1)
-    count = 0
-    total_ms = 0.0
-    max_ms = 0.0
-    for snap in snapshots:
-        n = int(snap.get("count", 0))
-        if n == 0:
-            continue
-        buckets = snap.get("buckets")
-        if buckets is None or len(buckets) != len(counts):
-            counts[-1] += n  # legacy snapshot: position unknown
-        else:
-            for i, c in enumerate(buckets):
-                counts[i] += c
-        count += n
-        total_ms += float(snap.get("total_ms", n * snap.get("mean_ms", 0.0)))
-        if snap.get("max_ms", 0.0) > max_ms:
-            max_ms = snap["max_ms"]
-    mean = total_ms / count if count else 0.0
-    return {
-        "count": count,
-        "p50_ms": _quantile_from_buckets(counts, count, max_ms, 0.50),
-        "p99_ms": _quantile_from_buckets(counts, count, max_ms, 0.99),
-        "mean_ms": round(mean, 3),
-        "max_ms": round(max_ms, 3),
-        "buckets": counts,
-        "total_ms": total_ms,
-    }
-
-
-def hit_rates_from_counters(c: Dict[str, int]) -> Dict[str, float]:
-    """Fractions of *answered* requests per source (see
-    :meth:`ServeMetrics.hit_rates`; extracted so merged counter sets
-    re-derive their rates the same way a live daemon does)."""
-    warm = (
-        c.get("warm_hits", 0)
-        + c.get("artifact_hits", 0)
-        + c.get("automaton_hits", 0)
-    )
-    answered = warm + c.get("coalesced", 0) + c.get("cold_jobs", 0)
-    if answered == 0:
-        return {"warm": 0.0, "coalesced": 0.0, "cold": 0.0}
-    return {
-        "warm": round(warm / answered, 6),
-        "coalesced": round(c.get("coalesced", 0) / answered, 6),
-        "cold": round(c.get("cold_jobs", 0) / answered, 6),
-    }
-
-
-def merge_serve_snapshots(snapshots) -> dict:
-    """Merge whole ``ServeMetrics.snapshot()`` documents fleet-wide.
-
-    Counters sum, per-tier histograms merge via
-    :func:`merge_latency_snapshots`, queue depth sums (instantaneous
-    backlog across the fleet), uptime reports the oldest member, and
-    hit rates are re-derived from the merged counters.  Associativity
-    is inherited from the component merges, so
-    ``merge([a, b, c]) == merge([merge([a, b]), c])`` -- the router can
-    aggregate incrementally or all at once and report the same truth.
-    """
-    snapshots = list(snapshots)
-    counters: Dict[str, int] = {name: 0 for name in COUNTER_NAMES}
-    queue_depth = 0
-    uptime = 0.0
-    for snap in snapshots:
-        for name, value in snap.get("counters", {}).items():
-            counters[name] = counters.get(name, 0) + value
-        queue_depth += int(snap.get("queue_depth", 0))
-        if snap.get("uptime_seconds", 0.0) > uptime:
-            uptime = snap["uptime_seconds"]
-    tiers = {}
-    for tier in TIERS:
-        tiers[tier] = merge_latency_snapshots(
-            snap["tiers"][tier]
-            for snap in snapshots
-            if tier in snap.get("tiers", {})
-        )
-    return {
-        "uptime_seconds": uptime,
-        "queue_depth": queue_depth,
-        "counters": counters,
-        "hit_rates": hit_rates_from_counters(counters),
-        "tiers": tiers,
-        "merged_from": len(snapshots),
-    }
 
 
 class LatencyHistogram:
@@ -212,12 +90,20 @@ class LatencyHistogram:
 
     def quantile_ms(self, q: float) -> float:
         """Upper bucket bound at quantile ``q`` in [0, 1] (0.0 if empty)."""
-        return _quantile_from_buckets(self.counts, self.count, self.max_ms, q)
+        if self.count == 0:
+            return 0.0
+        rank = q * self.count
+        seen = 0
+        for i, n in enumerate(self.counts):
+            seen += n
+            if seen >= rank:
+                if i == len(BUCKET_BOUNDS_MS):
+                    break
+                return BUCKET_BOUNDS_MS[i]
+        return round(self.max_ms, 3)
 
     def snapshot(self) -> Dict[str, float]:
-        """The JSON-safe view; carries the raw ``buckets`` so snapshots
-        from different daemons can be merged losslessly (see
-        :func:`merge_latency_snapshots`)."""
+        """The JSON-safe view, with the raw bucket counts and total."""
         mean = self.total_ms / self.count if self.count else 0.0
         return {
             "count": self.count,
@@ -269,7 +155,16 @@ class ServeMetrics:
         rate-limited and front-error requests were never answered, so
         they are not in the denominator.
         """
-        return hit_rates_from_counters(self.counters)
+        c = self.counters
+        warm = c["warm_hits"] + c["artifact_hits"] + c["automaton_hits"]
+        answered = warm + c["coalesced"] + c["cold_jobs"]
+        if answered == 0:
+            return {"warm": 0.0, "coalesced": 0.0, "cold": 0.0}
+        return {
+            "warm": round(warm / answered, 6),
+            "coalesced": round(c["coalesced"] / answered, 6),
+            "cold": round(c["cold_jobs"] / answered, 6),
+        }
 
     def snapshot(self) -> dict:
         """The JSON-safe serving view (``/stats``, loadgen, snapshots)."""
@@ -290,7 +185,4 @@ __all__ = [
     "LatencyHistogram",
     "ServeMetrics",
     "TIERS",
-    "hit_rates_from_counters",
-    "merge_latency_snapshots",
-    "merge_serve_snapshots",
 ]

@@ -18,6 +18,9 @@ engine:
   a crashed worker is retried once, and every failure mode degrades
   to a structured :class:`~repro.service.executor.JobError` instead
   of failing the batch.
+* :mod:`repro.service.pipeline` -- the request front (content hash or
+  structured error) and the response builder that the batch front end
+  and the serve daemon share.
 * :mod:`repro.service.batch` -- the JSONL front end behind
   ``python -m repro batch``: one request per input line, one response
   per output line, end-of-batch summary on stderr.

@@ -34,47 +34,20 @@ import os
 import sqlite3
 import sys
 import time
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.service.diskcache import DiskCache
-from repro.service.executor import (
-    BAD_REQUEST,
-    PARSE_ERROR,
-    JobError,
-    run_jobs,
+from repro.service.executor import BAD_REQUEST, JobError, run_jobs
+from repro.service.pipeline import (
+    VOLATILE_RESPONSE_KEYS,
+    admit,
+    error_response,
+    respond,
+    response_core,
 )
-from repro.service.request import (
-    JobRequest,
-    ParseError,
-    PolynomialParseError,
-    RequestError,
-)
+from repro.service.request import JobRequest, RequestError
 
-#: Response keys that may differ between a computed run and a cached
-#: re-run of the same batch; strip them to compare runs byte-for-byte.
-#: ``stats`` joined the list with the persistent answer memo: a warm
-#: run that answers a clause from the answer store does genuinely less
-#: engine work, so its per-job counters differ while the result is
-#: byte-identical.  ``tier`` is the serve daemon's annotation of which
-#: serving tier answered (warm/coalesced/cold/...); the batch CLI does
-#: not emit it, so it must be volatile for daemon-vs-batch
-#: byte-identity checks to hold.  ``shard`` is the shard router's
-#: annotation of the owning shard index -- same story: a topology
-#: detail, not part of the answer.
-VOLATILE_RESPONSE_KEYS = (
-    "cached",
-    "wall_ms",
-    "attempts",
-    "stats",
-    "tier",
-    "shard",
-)
-
-#: Payload keys not echoed into response lines (bulky; clients that
-#: want the full serialized result can read the cache).
-_PAYLOAD_ONLY_KEYS = ("result_json",)
-
-Entry = Union[JobRequest, JobError]
+Entry = Union[JobRequest, JobError, Mapping]
 
 
 class BatchSummary:
@@ -141,20 +114,6 @@ class BatchSummary:
         )
 
 
-def response_core(payload: dict) -> dict:
-    """An ok payload with bulky payload-only keys stripped.
-
-    Shared by the batch settle path and the serve daemon so both wire
-    formats carry exactly the same response fields for the same job.
-    """
-    return {
-        k: v for k, v in payload.items() if k not in _PAYLOAD_ONLY_KEYS
-    }
-
-
-_response_core = response_core
-
-
 def run_batch(
     entries: Sequence[Entry],
     workers: int = 1,
@@ -167,7 +126,9 @@ def run_batch(
 
     ``entries`` holds :class:`JobRequest` objects plus
     :class:`JobError` placeholders for input lines that already failed
-    upstream parsing (they produce error responses in place).
+    upstream parsing (they produce error responses in place).  Raw
+    request objects are admitted too, exactly as the serve daemon
+    admits them (:func:`repro.service.pipeline.admit`).
 
     ``emit(response)``, when given, is called with each response *in
     input order as soon as it is ready* -- a response is held back
@@ -190,76 +151,32 @@ def run_batch(
             emit(responses[next_emit[0]])
             next_emit[0] += 1
 
-    def ident(index: int) -> object:
-        eid = getattr(entries[index], "id", None)
-        return eid if eid is not None else index
+    def ident(index: int, rid) -> object:
+        return rid if rid is not None else index
 
     # Phase 1: hash + cache lookup; collect misses, deduplicated.
     to_run: List[JobRequest] = []
     run_index_of = {}  # content hash -> position in to_run
-    waiting = {}  # position in to_run -> [entry indices]
+    waiting = {}  # position in to_run -> [(entry index, request)]
     deduped = 0
     for i, entry in enumerate(entries):
-        if isinstance(entry, JobError):
-            record(
-                i,
-                {
-                    "id": ident(i),
-                    "ok": False,
-                    "error": entry.to_json(),
-                    "cached": False,
-                    "wall_ms": 0.0,
-                    "attempts": 0,
-                },
-            )
-            continue
         try:
-            key = entry.content_hash()
-        except (ParseError, PolynomialParseError) as exc:
-            record(
-                i,
-                {
-                    "id": ident(i),
-                    "ok": False,
-                    "error": JobError(PARSE_ERROR, str(exc)).to_json(),
-                    "cached": False,
-                    "wall_ms": 0.0,
-                    "attempts": 0,
-                },
-            )
-            continue
-        except Exception as exc:
-            record(
-                i,
-                {
-                    "id": ident(i),
-                    "ok": False,
-                    "error": JobError(
-                        BAD_REQUEST,
-                        "%s: %s" % (type(exc).__name__, exc),
-                    ).to_json(),
-                    "cached": False,
-                    "wall_ms": 0.0,
-                    "attempts": 0,
-                },
-            )
+            req, key = admit(entry)
+        except JobError as exc:
+            record(i, error_response(ident(i, exc.id), exc))
             continue
         payload = cache.get(key) if cache is not None else None
         if payload is not None and "result" in payload:
-            response = {"id": ident(i), "ok": True}
-            response.update(_response_core(payload))
-            response["cached"] = True
-            response["wall_ms"] = 0.0
-            response["attempts"] = 0
-            record(i, response)
+            outcome = {"ok": True, "payload": payload}
+            record(i, respond(ident(i, req.id), outcome, req, cached=True))
             continue
         if key in run_index_of:
             deduped += 1
-            waiting[run_index_of[key]].append(i)
+            waiting[run_index_of[key]].append((i, req))
         else:
             run_index_of[key] = len(to_run)
-            waiting[len(to_run)] = [i]
-            to_run.append(entry)
+            waiting[len(to_run)] = [(i, req)]
+            to_run.append(req)
 
     # Phase 2: run the misses on the pool, streaming as jobs settle.
     if to_run:
@@ -273,22 +190,15 @@ def run_batch(
                 try:
                     cache.put(key_of[pos], outcome["payload"])
                 except (sqlite3.Error, OSError) as exc:
+                    first, req = waiting[pos][0]
                     print(
                         "repro batch: cache write failed for job %s"
                         " (%s: %s); result served uncached"
-                        % (ident(waiting[pos][0]), type(exc).__name__, exc),
+                        % (ident(first, req.id), type(exc).__name__, exc),
                         file=sys.stderr,
                     )
-            for i in waiting[pos]:
-                response = {"id": ident(i), "ok": outcome["ok"]}
-                if outcome["ok"]:
-                    response.update(_response_core(outcome["payload"]))
-                else:
-                    response["error"] = outcome["error"]
-                response["cached"] = False
-                response["wall_ms"] = outcome["wall_ms"]
-                response["attempts"] = outcome["attempts"]
-                record(i, response)
+            for i, req in waiting[pos]:
+                record(i, respond(ident(i, req.id), outcome, req))
 
         run_jobs(
             to_run,

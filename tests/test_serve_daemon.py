@@ -12,6 +12,7 @@ import threading
 
 import pytest
 
+from repro.automaton.cache import clear_automaton_cache
 from repro.core import stats
 from repro.serve.daemon import (
     ARTIFACT_CAP,
@@ -43,6 +44,17 @@ VARIANTS = [
         [("i", "j"), ("p", "q"), ("x", "y"), ("aa", "bb"), ("u", "w")]
     )
 ]
+
+#: One member job under two spellings: the same canonical content hash.
+MEMBER_X = {
+    "id": "a",
+    "kind": "member",
+    "formula": "0 <= x and x <= 5",
+    "over": ["x"],
+    "at": [{"x": 3}],
+}
+MEMBER_Y = dict(MEMBER_X, id="b", formula="0 <= y and y <= 5", over=["y"],
+                at=[{"y": 3}])
 
 
 def stable(response):
@@ -133,15 +145,31 @@ class TestTiers:
         a.pop("id"), b.pop("id")
         assert a == b
 
-    def test_matches_batch_byte_for_byte_modulo_volatile(self, tmp_path):
+    @pytest.mark.parametrize(
+        "requests",
+        [
+            [COUNT_IJ],
+            [MEMBER_X, MEMBER_Y],
+            [{"id": "typo", "kind": "count", "formula": "1 <= i <= ===",
+              "over": ["i"]}],
+            [{"id": "poly", "kind": "sum", "formula": "1 <= i <= n",
+              "over": ["i"], "poly": "i*+"}],
+            [{"id": "fields", "kind": "count"}],
+        ],
+        ids=["count", "member-variants", "parse-error", "bad-poly",
+             "missing-field"],
+    )
+    def test_matches_batch_byte_for_byte_modulo_volatile(
+        self, tmp_path, requests
+    ):
         async def scenario(daemon):
-            return await daemon.handle(COUNT_IJ)
+            return [await daemon.handle(obj) for obj in requests]
 
         served = run_scenario(scenario, tmp_path)
-        batched, _ = run_batch([JobRequest.from_json(COUNT_IJ)])
-        assert json.dumps(stable(served), sort_keys=True) == json.dumps(
-            stable(batched[0]), sort_keys=True
-        )
+        batched, _ = run_batch(requests)
+        assert [json.dumps(stable(r), sort_keys=True) for r in served] == [
+            json.dumps(stable(r), sort_keys=True) for r in batched
+        ]
 
     def test_no_cache_daemon_still_answers(self, tmp_path):
         async def scenario(daemon):
@@ -173,6 +201,51 @@ class TestTiers:
         assert second["tier"] == "front"
         assert snap["counters"]["front_errors"] == 2
         assert snap["counters"]["cold_jobs"] == 0
+
+
+class TestOwnSpelling:
+    """A shared answer echoes each client's own variable names in points."""
+
+    def test_warm_answer(self, tmp_path):
+        async def scenario(daemon):
+            return await daemon.handle(MEMBER_X), await daemon.handle(MEMBER_Y)
+
+        first, second = run_scenario(scenario, tmp_path)
+        assert second["tier"] == "warm"
+        assert first["points"] == [{"at": {"x": 3}, "value": True}]
+        assert second["points"] == [{"at": {"y": 3}, "value": True}]
+
+    def test_coalesced_answer(self, tmp_path):
+        # A resident automaton would answer both on the warm tier.
+        clear_automaton_cache()
+        release = threading.Event()
+
+        async def scenario(daemon):
+            run_cold = daemon._run_cold
+
+            def gated(req, budget):
+                assert release.wait(30), "cold job never released"
+                return run_cold(req, budget)
+
+            daemon._run_cold = gated
+            tasks = [
+                asyncio.ensure_future(daemon.handle(obj))
+                for obj in (MEMBER_X, MEMBER_Y)
+            ]
+            for _ in range(500):
+                entries = list(daemon._inflight.values())
+                if entries and entries[0].waiters == 2:
+                    break
+                await asyncio.sleep(0.01)
+            else:
+                pytest.fail("clients never coalesced")
+            release.set()
+            return await asyncio.gather(*tasks)
+
+        first, second = run_scenario(scenario, tmp_path)
+        assert sorted([first["tier"], second["tier"]]) == ["coalesced", "cold"]
+        assert first["points"] == [{"at": {"x": 3}, "value": True}]
+        assert second["points"] == [{"at": {"y": 3}, "value": True}]
 
 
 class TestFrontDoor:

@@ -1,9 +1,5 @@
 """Serving observability: histograms, counters, the stats provider."""
 
-import random
-
-import pytest
-
 from repro.core import stats
 from repro.serve.metrics import (
     BUCKET_BOUNDS_MS,
@@ -11,8 +7,6 @@ from repro.serve.metrics import (
     LatencyHistogram,
     ServeMetrics,
     TIERS,
-    merge_latency_snapshots,
-    merge_serve_snapshots,
 )
 
 
@@ -62,118 +56,6 @@ class TestLatencyHistogram:
         assert snap["count"] == 2
         assert snap["mean_ms"] == 2.0
         assert snap["max_ms"] == 3.0
-
-
-def _random_samples(rng, n):
-    """Latencies spanning every bucket regime, incl. the open tail."""
-    out = []
-    for _ in range(n):
-        out.append(rng.choice((0.03, 0.7, 3.0, 42.0, 450.0, 80000.0)))
-    return out
-
-
-class TestMergeLatencySnapshots:
-    """The /stats merge bug class: aggregation must be associative and
-    must equal one histogram that saw the union stream, or the router's
-    fleet-wide p50/p99 silently lies."""
-
-    def test_merge_equals_union_histogram(self):
-        rng = random.Random(7)
-        parts = []
-        union = LatencyHistogram()
-        for _ in range(4):
-            hist = LatencyHistogram()
-            for ms in _random_samples(rng, rng.randrange(0, 60)):
-                hist.observe(ms)
-                union.observe(ms)
-            parts.append(hist.snapshot())
-        merged = merge_latency_snapshots(parts)
-        expected = union.snapshot()
-        # Summation order differs, so the raw total compares to within
-        # float tolerance; everything else is exactly equal.
-        assert merged.pop("total_ms") == pytest.approx(
-            expected.pop("total_ms")
-        )
-        assert merged == expected
-
-    def test_merge_is_associative_and_commutative(self):
-        rng = random.Random(11)
-        snaps = []
-        for _ in range(3):
-            hist = LatencyHistogram()
-            for ms in _random_samples(rng, 40):
-                hist.observe(ms)
-            snaps.append(hist.snapshot())
-        a, b, c = snaps
-        left = merge_latency_snapshots(
-            [merge_latency_snapshots([a, b]), c]
-        )
-        right = merge_latency_snapshots(
-            [a, merge_latency_snapshots([b, c])]
-        )
-        flat = merge_latency_snapshots([a, b, c])
-        assert left == right == flat
-        assert merge_latency_snapshots([c, a, b]) == flat
-
-    def test_merge_of_nothing_is_empty(self):
-        merged = merge_latency_snapshots([])
-        assert merged["count"] == 0
-        assert merged["p50_ms"] == 0.0 and merged["p99_ms"] == 0.0
-
-    def test_legacy_snapshot_without_buckets_degrades_gracefully(self):
-        legacy = {"count": 5, "mean_ms": 2.0, "max_ms": 4.0}
-        merged = merge_latency_snapshots([legacy])
-        assert merged["count"] == 5
-        # Position unknown -> the open tail bucket, quantile = max.
-        assert merged["buckets"][-1] == 5
-        assert merged["p99_ms"] == 4.0
-
-    def test_serve_snapshot_merge_is_associative(self):
-        rng = random.Random(3)
-        snaps = []
-        for k in range(3):
-            m = ServeMetrics()
-            m.bump("requests", rng.randrange(1, 50))
-            m.bump("cold_jobs", rng.randrange(0, 20))
-            m.bump("warm_hits", rng.randrange(0, 20))
-            for ms in _random_samples(rng, 25):
-                m.observe(rng.choice(TIERS), ms)
-            m.queue_probe = (lambda k=k: k)
-            snaps.append(m.snapshot())
-        a, b, c = snaps
-
-        def strip(doc):
-            doc = dict(doc)
-            # uptime is wall-clock (max, not sum) and merged_from is
-            # merge-tree-shaped; neither claims associativity.  Raw
-            # totals (and the mean derived from them) are summed in
-            # different orders, so they compare separately to within
-            # float tolerance.
-            doc.pop("uptime_seconds", None)
-            doc.pop("merged_from", None)
-            doc["tiers"] = {
-                tier: {
-                    k: v
-                    for k, v in hist.items()
-                    if k not in ("total_ms", "mean_ms")
-                }
-                for tier, hist in doc["tiers"].items()
-            }
-            return doc
-
-        nested = merge_serve_snapshots([merge_serve_snapshots([a, b]), c])
-        flat = merge_serve_snapshots([a, b, c])
-        assert strip(nested) == strip(flat)
-        for tier in TIERS:
-            assert nested["tiers"][tier]["total_ms"] == pytest.approx(
-                flat["tiers"][tier]["total_ms"]
-            )
-        assert flat["queue_depth"] == 0 + 1 + 2
-        assert flat["counters"]["requests"] == sum(
-            s["counters"]["requests"] for s in snaps
-        )
-        # Hit rates re-derive from merged counters, same rule as live.
-        assert set(flat["hit_rates"]) == {"warm", "coalesced", "cold"}
 
 
 class TestServeMetrics:

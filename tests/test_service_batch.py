@@ -30,6 +30,16 @@ SUM_SQ = {
     "poly": "i*i",
     "at": [{"n": 100}],
 }
+#: One member job under two spellings: the same canonical content hash.
+MEMBER_X = {
+    "id": "a",
+    "kind": "member",
+    "formula": "0 <= x and x <= 5",
+    "over": ["x"],
+    "at": [{"x": 3}],
+}
+MEMBER_Y = dict(MEMBER_X, id="b", formula="0 <= y and y <= 5", over=["y"],
+                at=[{"y": 3}])
 
 
 def stable(response):
@@ -160,6 +170,27 @@ class TestRunBatch:
         assert blob["jobs"] == 1 and blob["ok"] == 1
         assert "cache" in blob and "wall_seconds" in blob
         assert "1 jobs, 1 ok" in str(summary)
+
+
+class TestOwnSpelling:
+    """A shared answer echoes each job's own variable names in points."""
+
+    def test_deduped_job(self):
+        responses, summary = run_batch(
+            [JobRequest.from_json(MEMBER_X), JobRequest.from_json(MEMBER_Y)]
+        )
+        assert summary.deduped == 1
+        assert responses[0]["points"] == [{"at": {"x": 3}, "value": True}]
+        assert responses[1]["points"] == [{"at": {"y": 3}, "value": True}]
+
+    def test_cached_job(self, tmp_path):
+        with DiskCache(str(tmp_path / "c.sqlite")) as cache:
+            run_batch([JobRequest.from_json(MEMBER_X)], cache=cache)
+            responses, summary = run_batch(
+                [JobRequest.from_json(MEMBER_Y)], cache=cache
+            )
+        assert summary.cache_hits == 1
+        assert responses[0]["points"] == [{"at": {"y": 3}, "value": True}]
 
 
 def write_jsonl(path, objs):
